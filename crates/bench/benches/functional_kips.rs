@@ -4,9 +4,11 @@
 //! functionally (`FastForward`, warming caches/TLB/predictor without
 //! pipeline modeling) or cycle-by-cycle (`Core`), so the median ratio in
 //! the saved baseline is the fast-forward speedup directly; the sampling
-//! design (DESIGN.md §15) requires it to stay ≥10×. Two more entries
-//! price the checkpoint path: serializing a warm state and booting a
-//! detailed core from it.
+//! design (DESIGN.md §15) requires it to stay ≥10×. Three more entries
+//! price the checkpoint path: serializing a warm state, booting a
+//! detailed core from it, and the whole `specmpk-sim --restore` path from
+//! checkpoint text (`Json::parse` → `Checkpoint::from_json` →
+//! `Core::from_checkpoint`).
 //!
 //! Save a baseline with
 //! `cargo bench -p specmpk-bench --bench functional_kips -- --save-baseline main`
@@ -14,6 +16,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use specmpk_ooo::{Checkpoint, Core, FastForward, SimConfig};
+use specmpk_trace::Json;
 use specmpk_workloads::standard_suite;
 
 /// Instructions executed per benchmark iteration — matches `sim_kips` so
@@ -53,6 +56,16 @@ fn functional_kips(c: &mut Criterion) {
         b.iter(|| {
             let core = Core::from_checkpoint(SimConfig::default(), &program, black_box(&cp));
             drop(core);
+        })
+    });
+    // What `--restore` pays per file: `restore_boot` plus parsing and
+    // validating the text.
+    let text = cp.to_json().dump();
+    group.bench_function("restore_from_text", |b| {
+        b.iter(|| {
+            let json = Json::parse(black_box(&text)).expect("checkpoint text parses");
+            let cp = Checkpoint::from_json(&SimConfig::default(), &json).expect("valid checkpoint");
+            drop(Core::from_checkpoint(SimConfig::default(), &program, &cp));
         })
     });
     group.finish();

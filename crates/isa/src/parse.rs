@@ -57,14 +57,18 @@ fn parse_reg(line: usize, token: &str) -> Result<Reg, ParseError> {
     if let Some(r) = named {
         return Ok(r);
     }
-    let (prefix, index) = token.split_at(1);
-    let n: u8 = index
+    // Split off the first *char*, not byte: the token may be empty or
+    // start with a multi-byte character.
+    let mut chars = token.chars();
+    let prefix = chars.next();
+    let n: u8 = chars
+        .as_str()
         .parse()
         .map_err(|_| ParseError { line, message: format!("bad register '{token}'") })?;
     let base = match prefix {
-        "a" if n <= 4 => 5,
-        "t" if n <= 4 => 10,
-        "s" if n <= 15 => 16,
+        Some('a') if n <= 4 => 5,
+        Some('t') if n <= 4 => 10,
+        Some('s') if n <= 15 => 16,
         _ => return err(line, format!("bad register '{token}'")),
     };
     Reg::new(base + n).ok_or(ParseError { line, message: format!("bad register '{token}'") })
@@ -78,9 +82,11 @@ fn parse_int(line: usize, token: &str) -> Result<i64, ParseError> {
     };
     let value =
         if let Some(hex) = t.strip_prefix("0x") { i64::from_str_radix(hex, 16) } else { t.parse() };
-    match value {
-        Ok(v) => Ok(if neg { -v } else { v }),
-        Err(_) => err(line, format!("bad integer '{token}'")),
+    // `-0x-8000000000000000` parses the magnitude as i64::MIN, which has
+    // no negation.
+    match value.ok().and_then(|v| if neg { v.checked_neg() } else { Some(v) }) {
+        Some(v) => Ok(v),
+        None => err(line, format!("bad integer '{token}'")),
     }
 }
 
@@ -420,6 +426,26 @@ mod tests {
     fn reports_bad_register() {
         let e = parse_program("li q9, 1\n", 0).unwrap_err();
         assert!(e.message.contains("q9"), "{e}");
+    }
+
+    #[test]
+    fn empty_register_token_is_an_error() {
+        let e = parse_program("add t0, , t1", 0).unwrap_err();
+        assert_eq!(e.line, 1);
+        assert_eq!(e.message, "bad register ''");
+    }
+
+    #[test]
+    fn multibyte_register_token_is_an_error() {
+        let e = parse_program("add t0, é1, t1", 0).unwrap_err();
+        assert_eq!(e.line, 1);
+        assert_eq!(e.message, "bad register 'é1'");
+    }
+
+    #[test]
+    fn unnegatable_immediate_is_an_error() {
+        let e = parse_program("li t0, -0x-8000000000000000", 0).unwrap_err();
+        assert!(e.message.contains("bad integer"), "{e}");
     }
 
     #[test]

@@ -104,3 +104,56 @@ proptest! {
         prop_assert_eq!(parsed, vec![instr]);
     }
 }
+
+/// A short listing touching labels, registers, immediates, memory
+/// operands and branch targets — the assembler's whole surface.
+const MUTATION_BASE: &str = "\
+start:
+    li   t0, 40
+    addi t1, t0, -0x2   # pseudo add
+    std  t1, 8(sp)
+    ldd  t2, 8(sp)
+    bne  t1, t2, start
+    wrpkru
+    halt
+";
+
+/// Characters an edit inserts or writes: assembler syntax plus one-,
+/// two-, three- and four-byte UTF-8.
+fn arb_edit_char() -> impl Strategy<Value = char> {
+    prop::sample::select(vec![
+        ' ', ',', ':', '(', ')', '#', ';', '-', 'x', '0', '9', 'a', 's', 't', '\n', 'é', 'π', '→',
+        '😀',
+    ])
+}
+
+/// Applies one insert (`kind` 0), delete (1) or replace (2) at char
+/// index `at` (taken modulo the listing's length).
+fn edit(text: &str, kind: u8, at: usize, c: char) -> String {
+    let mut chars: Vec<char> = text.chars().collect();
+    match kind {
+        0 => chars.insert(at % (chars.len() + 1), c),
+        1 => {
+            chars.remove(at % chars.len());
+        }
+        _ => {
+            let i = at % chars.len();
+            chars[i] = c;
+        }
+    }
+    chars.into_iter().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Every single-character edit of a valid listing assembles or
+    /// returns a `ParseError`; none panics.
+    #[test]
+    fn single_edit_mutants_never_panic(kind in 0u8..3, at in 0usize..1 << 16, c in arb_edit_char()) {
+        prop_assert!(specmpk_isa::parse_program(MUTATION_BASE, 0x1000).is_ok());
+        let mutant = edit(MUTATION_BASE, kind, at, c);
+        let outcome = std::panic::catch_unwind(|| specmpk_isa::parse_program(&mutant, 0x1000));
+        prop_assert!(outcome.is_ok(), "parse_program panicked on {mutant:?}");
+    }
+}

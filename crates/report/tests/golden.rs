@@ -166,3 +166,18 @@ fn bad_usage_exits_two() {
     let out = run(&["--check"], Path::new(env!("CARGO_MANIFEST_DIR")));
     assert_eq!(out.status.code(), Some(2));
 }
+
+#[test]
+fn deeply_nested_artifact_exits_two_with_the_json_error() {
+    let dir = tempdir("deep");
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(100_000)).expect("write deep.json");
+    let out = run(
+        &[deep.to_str().unwrap(), fixture("base.json").to_str().unwrap()],
+        Path::new(env!("CARGO_MANIFEST_DIR")),
+    );
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("nesting deeper than 256 levels"), "got: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -4,7 +4,16 @@
 //! cannot use `serde`; this module hand-rolls the small subset needed for
 //! experiment artifacts: construct a [`Json`] tree, [`Json::dump`] it with
 //! stable key order (objects are ordered vectors, not hash maps), and
-//! [`Json::parse`] it back for round-trip tests.
+//! [`Json::parse`] it back.
+//!
+//! The parser is on two hot read paths: checkpoint restore
+//! (`Checkpoint::load`, `specmpk-sim --restore`), whose files are mostly
+//! kilobyte-long hex page strings, and every `specmpk-report` artifact
+//! read. It runs in time linear in the input: a string is copied one
+//! unescaped run at a time, with no per-character UTF-8 work, so a
+//! multi-megabyte checkpoint parses in milliseconds. Nesting is capped at
+//! [`MAX_DEPTH`] arrays/objects, so a hostile document returns a
+//! [`JsonError`] instead of overflowing the stack.
 //!
 //! Numbers are stored as `f64`. Every counter in the simulator fits in 53
 //! bits by an enormous margin (2^53 cycles at the budgets this repo runs
@@ -280,9 +289,10 @@ impl Json {
     /// # Errors
     ///
     /// Returns a [`JsonError`] describing the first syntax problem, with a
-    /// byte offset into the input.
+    /// byte offset into the input. Arrays and objects nested deeper than
+    /// [`MAX_DEPTH`] are an error.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { input, bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -352,9 +362,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deeply [`Json::parse`] lets arrays and objects nest. The deepest
+/// artifact, baseline or checkpoint the simulator writes nests fewer than
+/// ten levels; the cap only stops a hostile document from recursing the
+/// parser off the end of its stack.
+pub const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -396,12 +415,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -459,60 +492,62 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the whole run up to the next quote or backslash at once.
+            // Both delimiters are ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.input[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uDC00–\uDFFF next.
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(code)
-                            } else {
-                                char::from_u32(hi)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 is passed through; find the char at
-                    // this byte boundary.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => self.escape(&mut out)?,
             }
         }
+    }
+
+    /// Decodes the escape sequence whose backslash is at `pos`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        self.pos += 1;
+        match self.peek() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.hex4()?;
+                let c = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: expect \uDC00–\uDFFF next.
+                    if !self.bytes[self.pos..].starts_with(b"\\u") {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    self.pos += 2;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                    char::from_u32(code)
+                } else {
+                    char::from_u32(hi)
+                };
+                out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
+                return Ok(());
+            }
+            _ => return Err(self.err("invalid escape")),
+        }
+        self.pos += 1;
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -644,5 +679,52 @@ mod tests {
         // Non-hex strings and numbers decode to None.
         assert_eq!(Json::from("17").as_hex_u64(), None);
         assert_eq!(Json::from(17u64).as_hex_u64(), None);
+    }
+
+    #[test]
+    fn error_messages_and_offsets_are_pinned() {
+        let cases: [(&str, &str, usize); 10] = [
+            ("\"abc", "unterminated string", 4),
+            ("\"é😀", "unterminated string", 7),
+            ("\"ab\\", "invalid escape", 4),
+            (r#""a\q""#, "invalid escape", 3),
+            ("\"é\\x\"", "invalid escape", 4),
+            (r#""\ud800x""#, "unpaired surrogate", 7),
+            (r#""\ud800\u0041""#, "invalid low surrogate", 13),
+            (r#""\udc00""#, "invalid \\u escape", 7),
+            (r#""\u12""#, "truncated \\u escape", 3),
+            (r#""\u12zz""#, "invalid \\u escape", 3),
+        ];
+        for (doc, message, offset) in cases {
+            let e = Json::parse(doc).unwrap_err();
+            assert_eq!((e.message.as_str(), e.offset), (message, offset), "document {doc:?}");
+        }
+    }
+
+    #[test]
+    fn raw_multibyte_and_control_characters_pass_through() {
+        let doc = "\"π\u{1}é😀\\n→\"";
+        assert_eq!(Json::parse(doc).unwrap().as_str(), Some("π\u{1}é😀\n→"));
+    }
+
+    #[test]
+    fn nesting_at_the_depth_cap_parses() {
+        let arrays = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&arrays).is_ok());
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_an_error() {
+        let one_over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let e = Json::parse(&one_over).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+        assert_eq!(e.message, format!("nesting deeper than {MAX_DEPTH} levels"));
+        // Far past the cap: an error, not a stack overflow.
+        let e = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+        let e = Json::parse(&"{\"k\":".repeat(100_000)).unwrap_err();
+        assert_eq!(e.offset, 5 * MAX_DEPTH);
     }
 }

@@ -1,11 +1,12 @@
-//! Property-based tests for the log2-bucketed histogram.
+//! Property-based tests for the log2-bucketed histogram and the JSON
+//! string reader/writer.
 
 // Gated so the workspace still builds/tests with --no-default-features.
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;
 use specmpk_trace::histogram::{bucket_bounds, bucket_index, NUM_BUCKETS};
-use specmpk_trace::Histogram;
+use specmpk_trace::{Histogram, Json};
 
 fn build(values: &[u64]) -> Histogram {
     let mut h = Histogram::new();
@@ -85,5 +86,94 @@ proptest! {
         prop_assert_eq!(parsed.get("count").unwrap().as_u64(), Some(h.count()));
         prop_assert_eq!(parsed.get("sum").unwrap().as_u64(), Some(h.sum()));
         prop_assert_eq!(parsed.get("p90").unwrap().as_f64(), Some(h.p90()));
+    }
+}
+
+/// One character, biased towards the ones JSON strings treat specially:
+/// quotes, backslashes, control characters, and multi-byte UTF-8 (two-,
+/// three- and four-byte sequences, up to the last scalar value).
+fn arb_json_char() -> impl Strategy<Value = char> {
+    prop_oneof![
+        prop::sample::select(vec![
+            '"',
+            '\\',
+            '/',
+            '\n',
+            '\r',
+            '\t',
+            '\u{0}',
+            '\u{8}',
+            '\u{c}',
+            '\u{1f}',
+            '\u{7f}',
+            'é',
+            'π',
+            '→',
+            '\u{FFFF}',
+            '😀',
+            '\u{10FFFF}',
+            'u',
+            ' ',
+        ]),
+        (0x20u32..0x7F).prop_map(|u| char::from_u32(u).unwrap()),
+        (0u32..0x11_0000).prop_map(|u| char::from_u32(u).unwrap_or('\u{FFFD}')),
+    ]
+}
+
+fn arb_json_string() -> impl Strategy<Value = String> {
+    prop::collection::vec(arb_json_char(), 0..48).prop_map(|cs| cs.into_iter().collect())
+}
+
+/// Writes `s` as a JSON string literal, spelling character `i` as a
+/// `\uXXXX` escape (a surrogate pair above U+FFFF) when bit `i % 64` of
+/// `escape_mask` is set, and as the writer would otherwise.
+fn encode_mixed(s: &str, escape_mask: u64) -> String {
+    let mut out = String::from("\"");
+    for (i, c) in s.chars().enumerate() {
+        if escape_mask >> (i % 64) & 1 == 1 {
+            let mut units = [0u16; 2];
+            for unit in c.encode_utf16(&mut units) {
+                out.push_str(&format!("\\u{unit:04X}"));
+            }
+        } else {
+            let one = Json::Str(c.to_string()).dump_compact();
+            out.push_str(&one[1..one.len() - 1]);
+        }
+    }
+    out.push('"');
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Any string round-trips exactly through both writers, as a value and
+    /// as an object key.
+    #[test]
+    fn json_strings_round_trip(s in arb_json_string()) {
+        let value = Json::Str(s.clone());
+        prop_assert_eq!(Json::parse(&value.dump()).unwrap(), value.clone());
+        prop_assert_eq!(Json::parse(&value.dump_compact()).unwrap(), value.clone());
+        let object = Json::object().with(&s, value);
+        prop_assert_eq!(Json::parse(&object.dump()).unwrap(), object.clone());
+        prop_assert_eq!(Json::parse(&object.dump_compact()).unwrap(), object);
+    }
+
+    /// `\uXXXX` escapes (surrogate pairs included) decode to the same
+    /// string wherever they sit among raw multi-byte characters.
+    #[test]
+    fn json_escapes_mix_with_multibyte_text(s in arb_json_string(), mask in any::<u64>()) {
+        let parsed = Json::parse(&encode_mixed(&s, mask)).unwrap();
+        prop_assert_eq!(parsed.as_str(), Some(s.as_str()));
+    }
+
+    /// Every truncation of a string document is rejected as unterminated
+    /// or with a bad escape, never accepted and never a panic.
+    #[test]
+    fn truncated_json_strings_are_errors(s in arb_json_string(), mask in any::<u64>()) {
+        let doc = encode_mixed(&s, mask);
+        for (cut, _) in doc.char_indices().skip(1) {
+            prop_assert!(Json::parse(&doc[..cut]).is_err(), "accepted {:?}", &doc[..cut]);
+        }
     }
 }
