@@ -42,8 +42,9 @@ pub const DEFAULT_PROFILE_TOP_N: usize = 32;
 pub const GUEST_PROFILE_ENV: &str = "SPECMPK_GUEST_PROFILE";
 
 /// The one PC rendering used everywhere a guest address is shown
-/// (journal records, profile JSON, report tables): lowercase hex with a
-/// `0x` prefix and no padding.
+/// (profile JSON, report tables, and journal records, which write it in
+/// place with [`Record::hex`](crate::json::Record::hex)): lowercase hex
+/// with a `0x` prefix and no padding.
 #[must_use]
 pub fn fmt_pc(pc: u64) -> String {
     format!("{pc:#x}")
@@ -56,9 +57,10 @@ fn hash_pc(pc: u64) -> u64 {
 
 /// An open-addressed PC-keyed table: power-of-two capacity, linear
 /// probing, grown at 3/4 load. Iteration order is slot order (hash
-/// dependent); callers sort before emitting.
+/// dependent); callers sort before emitting. Shared with the leak
+/// ledger's per-PC retirement counts.
 #[derive(Debug, Clone)]
-struct PcTable<T> {
+pub(crate) struct PcTable<T> {
     slots: Vec<Option<(u64, T)>>,
     len: usize,
 }
@@ -94,8 +96,16 @@ impl<T: Default> PcTable<T> {
         self.slots = slots;
     }
 
+    /// The entry for `pc`, if present.
+    pub(crate) fn get(&self, pc: u64) -> Option<&T> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.slots[Self::probe(&self.slots, pc)].as_ref().map(|(_, t)| t)
+    }
+
     /// The entry for `pc`, inserted at default if absent.
-    fn entry_mut(&mut self, pc: u64) -> &mut T {
+    pub(crate) fn entry_mut(&mut self, pc: u64) -> &mut T {
         if self.len * 4 >= self.slots.len() * 3 {
             self.grow();
         }

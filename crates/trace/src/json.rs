@@ -18,8 +18,15 @@
 //! Numbers are stored as `f64`. Every counter in the simulator fits in 53
 //! bits by an enormous margin (2^53 cycles at the budgets this repo runs
 //! is out of reach), so u64 stats round-trip exactly.
+//!
+//! The JSONL sinks (the micro-event journal and the leak ledger) write
+//! tens of thousands of flat records per run and skip the tree:
+//! [`Record`] appends one `{"k":v,...}` object straight into an output
+//! `String`, with the same string escaping and number formatting as
+//! [`Json::dump_compact`], so a record's bytes equal those of the
+//! equivalent tree.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Objects preserve insertion order so dumps are
 /// byte-stable across runs.
@@ -210,7 +217,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(&format_number(*n)),
+            Json::Num(n) => write_number(out, *n),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
@@ -241,7 +248,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(&format_number(*n)),
+            Json::Num(n) => write_number(out, *n),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -309,40 +316,140 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
-fn format_number(n: f64) -> String {
+/// Largest magnitude below which an integral `f64` is printed as a plain
+/// integer (2^53: every integer up to it is exact in an `f64`).
+const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
+/// Appends the JSON text of `n`: integers below 2^53 in plain decimal,
+/// other finite values in Rust's shortest round-trip form (with `.0`
+/// added when that form reads as an integer), and `null` for NaN and
+/// the infinities.
+fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no NaN/Inf; stats code should never produce them, but a
         // defensive null beats emitting an unparseable token.
-        return "null".to_string();
-    }
-    if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
-        format!("{}", n as i64)
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < EXACT_INT_LIMIT {
+        write!(out, "{}", n as i64).expect("writing to a String cannot fail");
     } else {
-        let s = format!("{n}");
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
+        let start = out.len();
+        write!(out, "{n}").expect("writing to a String cannot fail");
+        if !out[start..].bytes().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+            out.push_str(".0");
         }
+    }
+}
+
+/// Appends `value` as a JSON number, exactly as `Json::from(value)`
+/// serializes: plain decimal below 2^53, the `f64` form above it.
+fn write_u64(out: &mut String, value: u64) {
+    if value < 1 << 53 {
+        write!(out, "{value}").expect("writing to a String cannot fail");
+    } else {
+        write_number(out, value as f64);
     }
 }
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut rest = s;
+    // Copy each run of characters that need no escape at once. Every byte
+    // that does need one is ASCII, so runs end on char boundaries.
+    while let Some(i) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => write!(out, "\\u{c:04x}").expect("writing to a String cannot fail"),
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
+}
+
+/// One compact JSON object written field by field straight into an output
+/// buffer: the JSONL record writer of the event journal and the leak
+/// ledger.
+///
+/// The bytes equal [`Json::dump_compact`] of a [`Json::object`] built
+/// with the same keys and values in the same order (`num` as
+/// `Json::from(u64)`, `hex` as [`Json::hex`]), without building the tree.
+///
+/// ```
+/// use specmpk_trace::json::{Json, Record};
+///
+/// let mut out = String::new();
+/// Record::begin(&mut out).str("event", "squash").num("cycle", 7).hex("pc", 0x10).end();
+/// let tree = Json::object().with("event", "squash").with("cycle", 7u64).with("pc", Json::hex(0x10));
+/// assert_eq!(out, tree.dump_compact());
+/// ```
+#[derive(Debug)]
+pub struct Record<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> Record<'a> {
+    /// Opens a record at the end of `out`.
+    pub fn begin(out: &'a mut String) -> Record<'a> {
+        out.push('{');
+        Record { out, empty: true }
+    }
+
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_string(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A string field.
+    #[must_use]
+    pub fn str(mut self, key: &str, value: &str) -> Self {
+        write_string(self.key(key), value);
+        self
+    }
+
+    /// A number field.
+    #[must_use]
+    pub fn num(mut self, key: &str, value: u64) -> Self {
+        write_u64(self.key(key), value);
+        self
+    }
+
+    /// A boolean field.
+    #[must_use]
+    pub fn bool(mut self, key: &str, value: bool) -> Self {
+        self.key(key).push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// A `"0x…"` lower-hex string field, as [`Json::hex`] writes it.
+    #[must_use]
+    pub fn hex(mut self, key: &str, value: u64) -> Self {
+        write!(self.key(key), "\"{value:#x}\"").expect("writing to a String cannot fail");
+        self
+    }
+
+    /// A `"0x…"` lower-hex string field zero-padded to eight digits (a
+    /// 32-bit register value such as PKRU).
+    #[must_use]
+    pub fn hex32(mut self, key: &str, value: u32) -> Self {
+        write!(self.key(key), "\"{value:#010x}\"").expect("writing to a String cannot fail");
+        self
+    }
+
+    /// Closes the record.
+    pub fn end(self) {
+        self.out.push('}');
+    }
 }
 
 /// A parse failure with a byte offset into the input.
@@ -550,14 +657,17 @@ impl Parser<'_> {
         Ok(())
     }
 
+    /// Reads exactly four ASCII hex digits.
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
         if end > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        let mut v = 0;
+        for &b in &self.bytes[self.pos..end] {
+            let digit = char::from(b).to_digit(16).ok_or_else(|| self.err("invalid \\u escape"))?;
+            v = v * 16 + digit;
+        }
         self.pos = end;
         Ok(v)
     }
@@ -699,6 +809,108 @@ mod tests {
             let e = Json::parse(doc).unwrap_err();
             assert_eq!((e.message.as_str(), e.offset), (message, offset), "document {doc:?}");
         }
+    }
+
+    #[test]
+    fn hex_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+        assert_eq!(Json::parse(r#""\u00e9\u00E9""#).unwrap().as_str(), Some("éé"));
+        for doc in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004g""#, "\"\\u00é\""] {
+            let e = Json::parse(doc).unwrap_err();
+            assert_eq!(
+                (e.message.as_str(), e.offset),
+                ("invalid \\u escape", 3),
+                "document {doc:?}"
+            );
+        }
+    }
+
+    /// The number formatter this crate shipped before numbers were written
+    /// in place: the reference the in-place writer must match byte for byte.
+    fn reference_number(n: f64) -> String {
+        if !n.is_finite() {
+            return "null".to_string();
+        }
+        if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
+            format!("{}", n as i64)
+        } else {
+            let s = format!("{n}");
+            if s.contains('.') || s.contains('e') || s.contains('E') {
+                s
+            } else {
+                format!("{s}.0")
+            }
+        }
+    }
+
+    #[test]
+    fn numbers_format_as_before_at_every_boundary() {
+        let two53 = 1u64 << 53;
+        let ints = [0, 1, 42, two53 - 1, two53, two53 + 1, u64::MAX];
+        for v in ints {
+            let mut out = String::new();
+            write_u64(&mut out, v);
+            assert_eq!(out, reference_number(v as f64), "u64 {v}");
+            assert_eq!(out, Json::from(v).dump_compact(), "u64 {v} via the tree");
+        }
+        let floats = [
+            0.0,
+            -0.0,
+            1.875,
+            0.1,
+            -0.5,
+            1e-7,
+            123_456.789,
+            -42.0,
+            9_007_199_254_740_991.0,
+            9_007_199_254_740_992.0,
+            -9_007_199_254_740_992.0,
+            1e300,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for n in floats {
+            let mut out = String::new();
+            write_number(&mut out, n);
+            assert_eq!(out, reference_number(n), "f64 {n:?}");
+        }
+        let pinned = [
+            (two53 - 1, "9007199254740991"),
+            (two53, "9007199254740992.0"),
+            (two53 + 1, "9007199254740992.0"),
+            (u64::MAX, "18446744073709552000.0"),
+        ];
+        for (v, text) in pinned {
+            assert_eq!(Json::from(v).dump_compact(), text);
+        }
+        assert_eq!(Json::from(1.875).dump_compact(), "1.875");
+        assert_eq!(Json::from(f64::NAN).dump(), "null\n");
+    }
+
+    #[test]
+    fn records_match_the_compact_tree() {
+        let mut out = String::new();
+        Record::begin(&mut out)
+            .str("event", "spec \"access\"\n")
+            .num("cycle", 1 << 53)
+            .num("seq", 7)
+            .hex("pc", 0x1f00)
+            .hex32("pkru", 0x55)
+            .bool("line", true)
+            .bool("tlb", false)
+            .end();
+        Record::begin(&mut out).end();
+        let tree = Json::object()
+            .with("event", "spec \"access\"\n")
+            .with("cycle", 1u64 << 53)
+            .with("seq", 7u64)
+            .with("pc", Json::hex(0x1f00))
+            .with("pkru", "0x00000055")
+            .with("line", true)
+            .with("tlb", false);
+        assert_eq!(out, format!("{}{}", tree.dump_compact(), Json::object().dump_compact()));
     }
 
     #[test]

@@ -27,10 +27,19 @@
 //! only attached when explicitly requested (`--leak-ledger`, the
 //! `security_matrix` experiment bin), so default artifacts stay
 //! byte-identical and the hot path keeps folding trace calls to nothing.
+//!
+//! Recording allocates nothing per event beyond the ledger entry itself.
+//! In-flight instructions sit in a sequence-ordered deque (rename pushes
+//! at the back, retirement pops the front, a squash pops the back), each
+//! carrying the chain of its still-open entries, linked by entry index;
+//! retirement counts per PC go to the guest profiler's open-addressed
+//! table. Lines are encoded with the shared [`Record`] writer only when
+//! [`LeakObserver::to_jsonl`] or [`LeakObserver::write_to`] asks.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
-use crate::json::Json;
+use crate::guest::PcTable;
+use crate::json::{Json, Record};
 use crate::sink::{AccessDecision, PkruCheckKind, SquashCause, TraceEvent, TraceSink};
 
 /// Default maximum number of retained ledger entries (and squash
@@ -97,7 +106,7 @@ impl ResidueFlags {
 }
 
 /// One speculative data access, as the ledger records it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LedgerEntry {
     /// Rename-time sequence number of the accessing instruction.
     pub seq: u64,
@@ -124,36 +133,30 @@ pub struct LedgerEntry {
 }
 
 impl LedgerEntry {
-    fn kind_name(&self) -> &'static str {
-        match self.kind {
-            PkruCheckKind::Load => "load",
-            PkruCheckKind::Store => "store",
-        }
-    }
-
-    /// One compact-JSON ledger line (the `--leak-ledger` file format).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
+    /// Appends this entry's ledger line (the `--leak-ledger` file format),
+    /// without its newline.
+    fn write_line(&self, out: &mut String) {
         let residue = self.residue.unwrap_or_default();
-        Json::object()
-            .with("record", "access")
-            .with("seq", self.seq)
-            .with("cycle", self.cycle)
-            .with("pc", format!("{:#x}", self.pc))
-            .with("addr", format!("{:#x}", self.addr))
-            .with("pkey", u64::from(self.pkey))
-            .with("pkru", format!("{:#010x}", self.pkru))
-            .with("kind", self.kind_name())
-            .with("decision", self.decision.name())
-            .with("fate", self.fate.map_or("open", Fate::name))
-            .with("fate_cycle", self.fate.map_or(0, Fate::cycle))
-            .with("residue_line", residue.line)
-            .with("residue_tlb", residue.tlb)
+        Record::begin(out)
+            .str("record", "access")
+            .num("seq", self.seq)
+            .num("cycle", self.cycle)
+            .hex("pc", self.pc)
+            .hex("addr", self.addr)
+            .num("pkey", u64::from(self.pkey))
+            .hex32("pkru", self.pkru)
+            .str("kind", self.kind.name())
+            .str("decision", self.decision.name())
+            .str("fate", self.fate.map_or("open", Fate::name))
+            .num("fate_cycle", self.fate.map_or(0, Fate::cycle))
+            .bool("residue_line", residue.line)
+            .bool("residue_tlb", residue.tlb)
+            .end();
     }
 }
 
 /// One squash batch, recorded for witness-chain extraction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SquashRecord {
     /// Squash cycle.
     pub cycle: u64,
@@ -170,16 +173,16 @@ pub struct SquashRecord {
 }
 
 impl SquashRecord {
-    /// One compact-JSON ledger line.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::object()
-            .with("record", "squash")
-            .with("seq", self.trigger_seq)
-            .with("cycle", self.cycle)
-            .with("pc", format!("{:#x}", self.trigger_pc))
-            .with("cause", self.cause.name())
-            .with("depth", self.depth)
+    /// Appends this batch's ledger line, without its newline.
+    fn write_line(&self, out: &mut String) {
+        Record::begin(out)
+            .str("record", "squash")
+            .num("seq", self.trigger_seq)
+            .num("cycle", self.cycle)
+            .hex("pc", self.trigger_pc)
+            .str("cause", self.cause.name())
+            .num("depth", self.depth)
+            .end();
     }
 }
 
@@ -217,7 +220,7 @@ impl LedgerCounts {
 /// The extracted causal spine of a transient-leak attempt: train →
 /// mispredict → secret-domain speculative load → dependent wrong-path
 /// access → surviving residue.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WitnessChain {
     /// Architectural retirements of the trigger PC before the squash —
     /// the training evidence.
@@ -288,22 +291,37 @@ impl WitnessChain {
 /// [`counts`](LeakObserver::counts), or extract a
 /// [`witness_chain`](LeakObserver::witness_chain).
 ///
-/// All joins are per-sequence-number hash lookups, but no output ever
-/// iterates a hash map — entries and squash records are reported in
-/// arrival order, so ledgers are byte-deterministic for a deterministic
-/// core.
+/// Entries and squash records are reported in arrival order, so ledgers
+/// are byte-deterministic for a deterministic core.
 #[derive(Debug)]
 pub struct LeakObserver {
     entries: Vec<LedgerEntry>,
+    /// Per entry: the next open entry of the same sequence number, or
+    /// [`NO_ENTRY`] at the end of its chain.
+    next_open: Vec<usize>,
     squashes: Vec<SquashRecord>,
     capacity: usize,
     dropped: u64,
-    /// Indices of not-yet-resolved entries, by sequence number.
-    open: HashMap<u64, Vec<usize>>,
-    /// PCs of in-flight instructions (for squash-trigger attribution).
-    in_flight: HashMap<u64, u64>,
+    /// In-flight sequence numbers in ascending order: renamed and not yet
+    /// retired or squashed, or holding open entries.
+    pending: VecDeque<Pending>,
     /// Architectural retirement counts per PC (training evidence).
-    retired_pcs: HashMap<u64, u64>,
+    retired_pcs: PcTable<u64>,
+}
+
+/// End of an open-entry chain.
+const NO_ENTRY: usize = usize::MAX;
+
+/// One in-flight sequence number.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    seq: u64,
+    /// PC from its rename event; `None` when only accesses were seen (the
+    /// instruction renamed before the observer attached).
+    pc: Option<u64>,
+    /// First and last open ledger entry ([`NO_ENTRY`] when none).
+    head: usize,
+    tail: usize,
 }
 
 impl Default for LeakObserver {
@@ -319,12 +337,12 @@ impl LeakObserver {
     pub fn with_capacity(capacity: usize) -> LeakObserver {
         LeakObserver {
             entries: Vec::new(),
+            next_open: Vec::new(),
             squashes: Vec::new(),
             capacity: capacity.max(1),
             dropped: 0,
-            open: HashMap::new(),
-            in_flight: HashMap::new(),
-            retired_pcs: HashMap::new(),
+            pending: VecDeque::new(),
+            retired_pcs: PcTable::default(),
         }
     }
 
@@ -349,7 +367,7 @@ impl LeakObserver {
     /// Architectural retirements recorded for `pc`.
     #[must_use]
     pub fn retire_count(&self, pc: u64) -> u64 {
-        self.retired_pcs.get(&pc).copied().unwrap_or(0)
+        self.retired_pcs.get(pc).copied().unwrap_or(0)
     }
 
     /// Aggregate counts over the ledger.
@@ -456,11 +474,11 @@ impl LeakObserver {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.entries {
-            out.push_str(&e.to_json().dump_compact());
+            e.write_line(&mut out);
             out.push('\n');
         }
         for s in &self.squashes {
-            out.push_str(&s.to_json().dump_compact());
+            s.write_line(&mut out);
             out.push('\n');
         }
         out
@@ -475,12 +493,33 @@ impl LeakObserver {
         std::fs::write(path, self.to_jsonl())
     }
 
-    fn resolve(&mut self, seq: u64, fate: Fate) {
-        if let Some(indices) = self.open.remove(&seq) {
-            for i in indices {
-                self.entries[i].fate = Some(fate);
-            }
+    /// Where `seq` sits in `pending`: `Ok` with its index, or `Err` with
+    /// the index that keeps the deque ordered. In core order the target is
+    /// at an end (rename and squash at the back, retirement at the front).
+    fn find(&self, seq: u64) -> Result<usize, usize> {
+        match self.pending.back() {
+            None => return Err(0),
+            Some(p) if p.seq < seq => return Err(self.pending.len()),
+            Some(p) if p.seq == seq => return Ok(self.pending.len() - 1),
+            Some(_) => {}
         }
+        if self.pending[0].seq == seq {
+            return Ok(0);
+        }
+        self.pending.binary_search_by_key(&seq, |p| p.seq)
+    }
+
+    /// Seals the fate of every open entry of `seq` and stops tracking it;
+    /// returns its rename PC, if one was seen.
+    fn resolve(&mut self, seq: u64, fate: Fate) -> Option<u64> {
+        let i = self.find(seq).ok()?;
+        let p = self.pending.remove(i).expect("find returned an index in range");
+        let mut next = p.head;
+        while next != NO_ENTRY {
+            self.entries[next].fate = Some(fate);
+            next = self.next_open[next];
+        }
+        p.pc
     }
 }
 
@@ -492,15 +531,19 @@ impl TraceSink for LeakObserver {
 
     fn record(&mut self, event: TraceEvent) {
         match event {
-            TraceEvent::Rename { seq, pc, .. } => {
-                self.in_flight.insert(seq, pc);
-            }
+            TraceEvent::Rename { seq, pc, .. } => match self.find(seq) {
+                Ok(i) => self.pending[i].pc = Some(pc),
+                Err(i) => {
+                    self.pending
+                        .insert(i, Pending { seq, pc: Some(pc), head: NO_ENTRY, tail: NO_ENTRY });
+                }
+            },
             TraceEvent::SpecAccess { seq, cycle, pc, addr, pkey, pkru, kind, decision } => {
                 if self.entries.len() >= self.capacity {
                     self.dropped += 1;
                     return;
                 }
-                self.open.entry(seq).or_default().push(self.entries.len());
+                let idx = self.entries.len();
                 self.entries.push(LedgerEntry {
                     seq,
                     pc,
@@ -513,32 +556,47 @@ impl TraceSink for LeakObserver {
                     fate: None,
                     residue: None,
                 });
+                self.next_open.push(NO_ENTRY);
+                match self.find(seq) {
+                    Ok(i) => {
+                        let p = &mut self.pending[i];
+                        if p.head == NO_ENTRY {
+                            p.head = idx;
+                        } else {
+                            self.next_open[p.tail] = idx;
+                        }
+                        p.tail = idx;
+                    }
+                    Err(i) => {
+                        self.pending.insert(i, Pending { seq, pc: None, head: idx, tail: idx });
+                    }
+                }
             }
             TraceEvent::Retire { seq, cycle } => {
-                self.resolve(seq, Fate::Retired { cycle });
-                if let Some(pc) = self.in_flight.remove(&seq) {
-                    *self.retired_pcs.entry(pc).or_insert(0) += 1;
+                if let Some(pc) = self.resolve(seq, Fate::Retired { cycle }) {
+                    *self.retired_pcs.entry_mut(pc) += 1;
                 }
             }
             TraceEvent::Squash { seq, cycle } => {
                 self.resolve(seq, Fate::Squashed { cycle });
-                self.in_flight.remove(&seq);
             }
             // Residue probes arrive before the victim's Squash event, so
             // the entry is still open.
             TraceEvent::Residue { seq, addr, line, tlb, .. } => {
-                if let Some(indices) = self.open.get(&seq) {
-                    for &i in indices {
-                        if self.entries[i].addr == addr {
-                            self.entries[i].residue = Some(ResidueFlags { line, tlb });
+                if let Ok(i) = self.find(seq) {
+                    let mut next = self.pending[i].head;
+                    while next != NO_ENTRY {
+                        if self.entries[next].addr == addr {
+                            self.entries[next].residue = Some(ResidueFlags { line, tlb });
                         }
+                        next = self.next_open[next];
                     }
                 }
             }
             TraceEvent::SquashBatch { seq, cycle, depth, cause, .. }
                 if self.squashes.len() < self.capacity =>
             {
-                let trigger_pc = self.in_flight.get(&seq).copied().unwrap_or(0);
+                let trigger_pc = self.find(seq).ok().and_then(|i| self.pending[i].pc).unwrap_or(0);
                 self.squashes.push(SquashRecord {
                     cycle,
                     trigger_seq: seq,
@@ -570,7 +628,7 @@ mod tests {
     }
 
     fn rename(seq: u64, pc: u64) -> TraceEvent {
-        TraceEvent::Rename { seq, pc, fetch_cycle: 0, cycle: 1, disasm: String::new() }
+        TraceEvent::Rename { seq, pc, fetch_cycle: 0, cycle: 1, instr: specmpk_isa::Instr::Nop }
     }
 
     #[test]

@@ -46,6 +46,6 @@ pub use obs::{
     DEFAULT_JOURNAL_CAPACITY, DEFAULT_PROGRESS_INTERVAL_MS, PROFILE_ENV, PROGRESS_ENV,
 };
 pub use sink::{
-    AccessDecision, EventLog, HeadStallKind, NullSink, PipeTracer, PkruCheckKind, SquashCause, Tee,
+    AccessDecision, HeadStallKind, NullSink, PipeTracer, PkruCheckKind, SquashCause, Tee,
     TraceEvent, TraceSink, DEFAULT_TRACE_CAPACITY,
 };

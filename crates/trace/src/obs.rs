@@ -19,6 +19,8 @@
 //!   and the instruction's rename sequence number (its ROB context). It
 //!   is a [`TraceSink`], so it attaches to a core exactly like the
 //!   Konata tracer — or alongside it via [`Tee`](crate::sink::Tee).
+//!   Recording keeps the `Copy` event itself; the JSONL text is encoded
+//!   with the shared [`Record`] writer only when output is asked for.
 //!
 //! A fourth, process-global surface backs the experiment harness:
 //! [`phase_time`] accumulates named wall-clock phases (codegen, sim,
@@ -30,8 +32,8 @@ use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::json::Json;
-use crate::sink::{AccessDecision, PkruCheckKind, TraceEvent, TraceSink};
+use crate::json::{Json, Record};
+use crate::sink::{AccessDecision, TraceEvent, TraceSink};
 
 /// Environment variable enabling host profiling spans (any value except
 /// `0` or the empty string).
@@ -417,9 +419,12 @@ pub const DEFAULT_JOURNAL_CAPACITY: usize = 65_536;
 /// with the absolute cycle and the instruction's rename sequence number,
 /// so downstream tools (`specmpk-report journal`) can reconstruct
 /// causally ordered chains like WRPKRU → squash → replay storm.
+///
+/// The ring holds the notable [`TraceEvent`]s themselves; their lines are
+/// written by [`Journal::to_jsonl`] and [`Journal::write_to`].
 #[derive(Debug)]
 pub struct Journal {
-    records: VecDeque<String>,
+    records: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
 }
@@ -456,25 +461,13 @@ impl Journal {
         self.dropped
     }
 
-    fn push(&mut self, line: String) {
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(line);
-    }
-
-    fn push_json(&mut self, json: Json) {
-        self.push(json.dump_compact());
-    }
-
     /// Renders the journal as JSONL text (one record per line, oldest
     /// first, trailing newline).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for r in &self.records {
-            out.push_str(r);
+        for event in &self.records {
+            write_record(event, &mut out);
             out.push('\n');
         }
         out
@@ -488,10 +481,94 @@ impl Journal {
     pub fn write_to(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_jsonl())
     }
+}
 
-    /// Base record with the stable leading keys every line shares.
-    fn record_base(event: &'static str, cycle: u64, seq: u64) -> Json {
-        Json::object().with("event", event).with("cycle", cycle).with("seq", seq)
+/// Whether the journal keeps `event`. Per-instruction lifecycle events,
+/// passing permission checks and allowed speculative accesses happen for
+/// nearly every instruction or memory access, so they are too dense to
+/// journal (the leak ledger keeps the full access stream).
+fn notable(event: &TraceEvent) -> bool {
+    match *event {
+        TraceEvent::PkruCheck { passed, .. } => !passed,
+        TraceEvent::SpecAccess { decision, .. } => decision != AccessDecision::Allowed,
+        TraceEvent::SquashBatch { .. }
+        | TraceEvent::RobPkruAlloc { .. }
+        | TraceEvent::RobPkruFree { .. }
+        | TraceEvent::HeadStall { .. }
+        | TraceEvent::LoadReplay { .. }
+        | TraceEvent::ReplayBurst { .. }
+        | TraceEvent::DeferredTlbUpdate { .. }
+        | TraceEvent::Residue { .. }
+        | TraceEvent::WrongPathStall { .. } => true,
+        TraceEvent::Rename { .. }
+        | TraceEvent::Issue { .. }
+        | TraceEvent::Complete { .. }
+        | TraceEvent::Retire { .. }
+        | TraceEvent::Squash { .. } => false,
+    }
+}
+
+/// Appends the journal line of a [`notable`] event (without its newline).
+/// Every line starts with the stable `event`/`cycle`/`seq` keys.
+fn write_record(event: &TraceEvent, out: &mut String) {
+    let base = |out, name, cycle, seq| {
+        Record::begin(out).str("event", name).num("cycle", cycle).num("seq", seq)
+    };
+    match *event {
+        TraceEvent::SquashBatch { seq, cycle, depth, cause, rob } => {
+            base(out, "squash", cycle, seq)
+                .str("cause", cause.name())
+                .num("depth", depth)
+                .num("rob", rob)
+                .end();
+        }
+        TraceEvent::RobPkruAlloc { seq, cycle, tag, pc } => {
+            base(out, "wrpkru_rename", cycle, seq).num("tag", tag).hex("wrpkru_site", pc).end();
+        }
+        TraceEvent::RobPkruFree { seq, cycle, tag } => {
+            base(out, "wrpkru_free", cycle, seq).num("tag", tag).end();
+        }
+        TraceEvent::PkruCheck { seq, cycle, kind, pc, .. } => {
+            base(out, "pkru_check_fail", cycle, seq)
+                .str("kind", kind.name())
+                .hex("wrpkru_site", pc)
+                .end();
+        }
+        TraceEvent::HeadStall { seq, cycle, kind } => {
+            base(out, "head_stall", cycle, seq).str("kind", kind.name()).end();
+        }
+        TraceEvent::LoadReplay { seq, cycle } => base(out, "load_replay", cycle, seq).end(),
+        TraceEvent::ReplayBurst { seq, cycle, len } => {
+            base(out, "replay_burst", cycle, seq).num("len", len).end();
+        }
+        TraceEvent::DeferredTlbUpdate { seq, cycle } => {
+            base(out, "deferred_tlb_update", cycle, seq).end();
+        }
+        TraceEvent::SpecAccess { seq, cycle, pc, addr, pkey, decision, kind, .. } => {
+            base(out, "spec_access", cycle, seq)
+                .str("kind", kind.name())
+                .str("decision", decision.name())
+                .hex("pc", pc)
+                .hex("addr", addr)
+                .num("pkey", u64::from(pkey))
+                .end();
+        }
+        TraceEvent::Residue { seq, cycle, addr, pkey, line, tlb } => {
+            base(out, "residue", cycle, seq)
+                .hex("addr", addr)
+                .num("pkey", u64::from(pkey))
+                .bool("line", line)
+                .bool("tlb", tlb)
+                .end();
+        }
+        TraceEvent::WrongPathStall { cycle, seq, pc } => {
+            base(out, "wrong_path_stall", cycle, seq).hex("pc", pc).end();
+        }
+        TraceEvent::Rename { .. }
+        | TraceEvent::Issue { .. }
+        | TraceEvent::Complete { .. }
+        | TraceEvent::Retire { .. }
+        | TraceEvent::Squash { .. } => unreachable!("dense events are never journaled"),
     }
 }
 
@@ -502,102 +579,21 @@ impl TraceSink for Journal {
     }
 
     fn record(&mut self, event: TraceEvent) {
-        match event {
-            TraceEvent::SquashBatch { seq, cycle, depth, cause, rob } => {
-                self.push_json(
-                    Journal::record_base("squash", cycle, seq)
-                        .with("cause", cause.name())
-                        .with("depth", depth)
-                        .with("rob", rob),
-                );
-            }
-            TraceEvent::RobPkruAlloc { seq, cycle, tag, pc } => {
-                self.push_json(
-                    Journal::record_base("wrpkru_rename", cycle, seq)
-                        .with("tag", tag)
-                        .with("wrpkru_site", crate::guest::fmt_pc(pc)),
-                );
-            }
-            TraceEvent::RobPkruFree { seq, cycle, tag } => {
-                self.push_json(Journal::record_base("wrpkru_free", cycle, seq).with("tag", tag));
-            }
-            TraceEvent::PkruCheck { seq, cycle, kind, passed, pc } => {
-                // Passing checks happen for nearly every memory access;
-                // only the fails are notable.
-                if !passed {
-                    let kind = match kind {
-                        PkruCheckKind::Load => "load",
-                        PkruCheckKind::Store => "store",
-                    };
-                    self.push_json(
-                        Journal::record_base("pkru_check_fail", cycle, seq)
-                            .with("kind", kind)
-                            .with("wrpkru_site", crate::guest::fmt_pc(pc)),
-                    );
-                }
-            }
-            TraceEvent::HeadStall { seq, cycle, kind } => {
-                self.push_json(
-                    Journal::record_base("head_stall", cycle, seq).with("kind", kind.name()),
-                );
-            }
-            TraceEvent::LoadReplay { seq, cycle } => {
-                self.push_json(Journal::record_base("load_replay", cycle, seq));
-            }
-            TraceEvent::ReplayBurst { seq, cycle, len } => {
-                self.push_json(Journal::record_base("replay_burst", cycle, seq).with("len", len));
-            }
-            TraceEvent::DeferredTlbUpdate { seq, cycle } => {
-                self.push_json(Journal::record_base("deferred_tlb_update", cycle, seq));
-            }
-            TraceEvent::SpecAccess { seq, cycle, pc, addr, pkey, decision, kind, .. } => {
-                // Allowed accesses happen for nearly every load and store;
-                // only the deferred/faulted decisions are notable (the
-                // leak ledger keeps the full stream).
-                if decision != AccessDecision::Allowed {
-                    let kind = match kind {
-                        PkruCheckKind::Load => "load",
-                        PkruCheckKind::Store => "store",
-                    };
-                    self.push_json(
-                        Journal::record_base("spec_access", cycle, seq)
-                            .with("kind", kind)
-                            .with("decision", decision.name())
-                            .with("pc", crate::guest::fmt_pc(pc))
-                            .with("addr", format!("{addr:#x}"))
-                            .with("pkey", u64::from(pkey)),
-                    );
-                }
-            }
-            TraceEvent::Residue { seq, cycle, addr, pkey, line, tlb } => {
-                self.push_json(
-                    Journal::record_base("residue", cycle, seq)
-                        .with("addr", format!("{addr:#x}"))
-                        .with("pkey", u64::from(pkey))
-                        .with("line", line)
-                        .with("tlb", tlb),
-                );
-            }
-            TraceEvent::WrongPathStall { cycle, seq, pc } => {
-                self.push_json(
-                    Journal::record_base("wrong_path_stall", cycle, seq)
-                        .with("pc", format!("{pc:#x}")),
-                );
-            }
-            // Per-instruction lifecycle events are too dense to journal.
-            TraceEvent::Rename { .. }
-            | TraceEvent::Issue { .. }
-            | TraceEvent::Complete { .. }
-            | TraceEvent::Retire { .. }
-            | TraceEvent::Squash { .. } => {}
+        if !notable(&event) {
+            return;
         }
+        if self.records.len() == self.capacity {
+            self.records.pop_front();
+            self.dropped += 1;
+        }
+        self.records.push_back(event);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{HeadStallKind, SquashCause};
+    use crate::sink::{HeadStallKind, PkruCheckKind, SquashCause};
 
     #[test]
     fn span_ids_follow_registration_order() {

@@ -7,8 +7,15 @@
 //! [`PipeTracer`] records per-instruction stage timestamps and renders them
 //! in the gem5 O3PipeView text format, which the Konata pipeline viewer
 //! loads directly.
+//!
+//! A [`TraceEvent`] is `Copy` and allocates nothing: recording one costs a
+//! few stores, and each sink formats text only where it needs it (the
+//! tracer when it finishes a block, the JSONL sinks when output is asked
+//! for).
 
 use std::collections::VecDeque;
+
+use specmpk_isa::Instr;
 
 /// Which in-flight PKRU check an event refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,6 +24,17 @@ pub enum PkruCheckKind {
     Load,
     /// A store's (deferred) permission check at retirement.
     Store,
+}
+
+impl PkruCheckKind {
+    /// Stable lowercase name used in journal records and report output.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            PkruCheckKind::Load => "load",
+            PkruCheckKind::Store => "store",
+        }
+    }
 }
 
 /// The policy's verdict on one speculative (pre-retire) memory access.
@@ -109,7 +127,7 @@ impl HeadStallKind {
 /// Cycle numbers are absolute simulation cycles; `seq` is the rename-time
 /// sequence number the pipeline assigns (fetch groups carry no sequence
 /// number in this core, so the rename event also reports the fetch cycle).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// An instruction entered the back end (and was dispatched the same
     /// cycle in this core).
@@ -122,8 +140,9 @@ pub enum TraceEvent {
         fetch_cycle: u64,
         /// Cycle of rename/dispatch.
         cycle: u64,
-        /// Human-readable disassembly (only built when a sink is enabled).
-        disasm: String,
+        /// The decoded instruction (its `Display` form is the disassembly
+        /// the Konata trace shows).
+        instr: Instr,
     },
     /// The instruction was selected for execution.
     Issue {
@@ -328,7 +347,7 @@ impl TraceEvent {
 /// event formatting behind it) folds away entirely under inlining.
 pub trait TraceSink {
     /// Whether this sink wants events at all. Hot paths check this before
-    /// building event payloads (e.g. disassembly strings).
+    /// building event payloads.
     #[inline]
     fn enabled(&self) -> bool {
         false
@@ -353,7 +372,7 @@ impl TraceSink for NullSink {}
 struct InFlight {
     seq: u64,
     pc: u64,
-    disasm: String,
+    instr: Instr,
     fetch: u64,
     rename: u64,
     issue: Option<u64>,
@@ -435,7 +454,7 @@ impl PipeTracer {
         // so decode/rename/dispatch share the rename timestamp.
         block.push_str(&format!(
             "O3PipeView:fetch:{}:0x{:016x}:0:{}:{}\n",
-            e.fetch, e.pc, e.seq, e.disasm
+            e.fetch, e.pc, e.seq, e.instr
         ));
         block.push_str(&format!("O3PipeView:decode:{}\n", e.rename));
         block.push_str(&format!("O3PipeView:rename:{}\n", e.rename));
@@ -494,11 +513,11 @@ impl TraceSink for PipeTracer {
 
     fn record(&mut self, event: TraceEvent) {
         match event {
-            TraceEvent::Rename { seq, pc, fetch_cycle, cycle, disasm } => {
+            TraceEvent::Rename { seq, pc, fetch_cycle, cycle, instr } => {
                 self.in_flight.push(InFlight {
                     seq,
                     pc,
-                    disasm,
+                    instr,
                     fetch: fetch_cycle,
                     rename: cycle,
                     issue: None,
@@ -528,11 +547,8 @@ impl TraceSink for PipeTracer {
                 self.note(seq, format!("//specmpk:robpkru_free:{cycle}:{seq}:tag{tag}"));
             }
             TraceEvent::PkruCheck { seq, cycle, kind, passed, .. } => {
-                let kind = match kind {
-                    PkruCheckKind::Load => "load",
-                    PkruCheckKind::Store => "store",
-                };
                 let outcome = if passed { "pass" } else { "fail" };
+                let kind = kind.name();
                 self.note(seq, format!("//specmpk:pkru_check:{cycle}:{seq}:{kind}:{outcome}"));
             }
             TraceEvent::LoadReplay { seq, cycle } => {
@@ -557,10 +573,7 @@ impl TraceSink for PipeTracer {
                 self.note(seq, format!("//specmpk:head_stall:{cycle}:{seq}:{}", kind.name()));
             }
             TraceEvent::SpecAccess { seq, cycle, addr, pkey, kind, decision, .. } => {
-                let kind = match kind {
-                    PkruCheckKind::Load => "load",
-                    PkruCheckKind::Store => "store",
-                };
+                let kind = kind.name();
                 self.note(
                     seq,
                     format!(
@@ -587,8 +600,8 @@ impl TraceSink for PipeTracer {
 }
 
 /// Fans one event stream out to two sinks (e.g. a [`PipeTracer`] and a
-/// journal in the same run). Events are cloned only when both sides are
-/// enabled.
+/// journal in the same run). Each enabled side receives its own copy of
+/// the event.
 #[derive(Debug, Default)]
 pub struct Tee<A, B> {
     /// The first receiving sink.
@@ -611,64 +624,42 @@ impl<A: TraceSink, B: TraceSink> TraceSink for Tee<A, B> {
     }
 
     fn record(&mut self, event: TraceEvent) {
-        match (self.a.enabled(), self.b.enabled()) {
-            (true, true) => {
-                self.a.record(event.clone());
-                self.b.record(event);
-            }
-            (true, false) => self.a.record(event),
-            (false, true) => self.b.record(event),
-            (false, false) => {}
+        if self.a.enabled() {
+            self.a.record(event);
         }
-    }
-}
-
-/// A sink that retains raw [`TraceEvent`]s in a bounded ring; useful in
-/// tests that assert on the event stream rather than the rendered text.
-#[derive(Debug, Default)]
-pub struct EventLog {
-    events: VecDeque<TraceEvent>,
-    capacity: usize,
-}
-
-impl EventLog {
-    /// An event log retaining at most `capacity` events (0 = unbounded).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventLog { events: VecDeque::new(), capacity }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-}
-
-impl TraceSink for EventLog {
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, event: TraceEvent) {
-        if self.capacity > 0 && self.events.len() == self.capacity {
-            self.events.pop_front();
+        if self.b.enabled() {
+            self.b.record(event);
         }
-        self.events.push_back(event);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specmpk_isa::Reg;
 
+    /// Records every event it receives.
+    #[derive(Default)]
+    struct Recorder(Vec<TraceEvent>);
+
+    impl TraceSink for Recorder {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn record(&mut self, event: TraceEvent) {
+            self.0.push(event);
+        }
+    }
+
+    /// Renames `seq` as `li t0, <seq>`, so its disassembly names it.
     fn drive(t: &mut PipeTracer, seq: u64, base: u64) {
         t.record(TraceEvent::Rename {
             seq,
             pc: 0x1000 + 4 * seq,
             fetch_cycle: base,
             cycle: base + 2,
-            disasm: format!("op{seq}"),
+            instr: Instr::Li { rd: Reg::T0, imm: seq as i64 },
         });
         t.record(TraceEvent::Issue { seq, cycle: base + 3 });
         t.record(TraceEvent::Complete { seq, cycle: base + 4 });
@@ -680,7 +671,7 @@ mod tests {
         drive(&mut t, 1, 10);
         t.record(TraceEvent::Retire { seq: 1, cycle: 15 });
         let out = t.render();
-        assert!(out.starts_with("O3PipeView:fetch:10:0x0000000000001004:0:1:op1\n"));
+        assert!(out.starts_with("O3PipeView:fetch:10:0x0000000000001004:0:1:li t0, 1\n"));
         assert!(out.contains("O3PipeView:issue:13\n"));
         assert!(out.contains("O3PipeView:complete:14\n"));
         assert!(out.ends_with("O3PipeView:retire:15:store:0\n"));
@@ -706,8 +697,8 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.dropped_blocks(), 3);
         let out = t.render();
-        assert!(!out.contains(":op2\n"));
-        assert!(out.contains(":op3\n") && out.contains(":op4\n"));
+        assert!(!out.contains(":li t0, 2\n"));
+        assert!(out.contains(":li t0, 3\n") && out.contains(":li t0, 4\n"));
     }
 
     #[test]
@@ -785,19 +776,20 @@ mod tests {
 
     #[test]
     fn tee_fans_out_to_both_enabled_sinks() {
-        let mut tee = Tee::new(EventLog::with_capacity(0), EventLog::with_capacity(0));
+        let mut tee = Tee::new(Recorder::default(), Recorder::default());
         assert!(tee.enabled());
-        tee.record(TraceEvent::LoadReplay { seq: 1, cycle: 2 });
-        assert_eq!(tee.a.events().count(), 1);
-        assert_eq!(tee.b.events().count(), 1);
+        let event = TraceEvent::LoadReplay { seq: 1, cycle: 2 };
+        tee.record(event);
+        assert_eq!(tee.a.0, [event]);
+        assert_eq!(tee.b.0, [event]);
     }
 
     #[test]
     fn tee_with_null_side_only_feeds_the_live_sink() {
-        let mut tee = Tee::new(NullSink, EventLog::with_capacity(0));
+        let mut tee = Tee::new(NullSink, Recorder::default());
         assert!(tee.enabled());
         tee.record(TraceEvent::LoadReplay { seq: 1, cycle: 2 });
-        assert_eq!(tee.b.events().count(), 1);
+        assert_eq!(tee.b.0.len(), 1);
         let null_tee = Tee::new(NullSink, NullSink);
         assert!(!null_tee.enabled());
     }

@@ -7,6 +7,10 @@
 #   build       cargo build --release --workspace
 #   test-root   cargo test -q             (root package: integration + doc)
 #   test-ws     cargo test -q --workspace (every crate, incl. property tests)
+#   simbench    the benchmark package's own tests (simbench/, outside the
+#               workspace): every workload runs once and is checked —
+#               sinks-on SimStats against sinks-off, detailed runs against
+#               the interpreter, the checkpoint round trip
 #   fmt         cargo fmt --check          (skipped when rustfmt is absent)
 #   clippy      cargo clippy -D warnings   (skipped when clippy is absent)
 #   doc         cargo doc --no-deps with RUSTDOCFLAGS='-D warnings'
@@ -154,6 +158,7 @@ $(grep -c '^  0x' "${out}/guest_profile.txt") profile rows"
 stage build cargo build --release --workspace
 stage test-root cargo test -q
 stage test-ws cargo test -q --workspace
+stage simbench cargo test --release --offline -q --manifest-path simbench/Cargo.toml
 
 if cargo fmt --version >/dev/null 2>&1; then
     stage fmt cargo fmt --check
